@@ -2,10 +2,12 @@
 
 Drives a 10-query / 10-view workload over a 64-cell grid twice with
 identical seeds: once with ``compile_plans=True`` (the default — one fused
-program per chain, SGD intensity updates folded into vectorised kernels,
-shared view sorts) and once with ``compile_plans=False`` (the interpreted
-reference path).  Both runs must deliver byte-identical streams; the
-comparison is pure execution cost.
+program per chain, flatten/thin/partition decisions composed as index
+masks and gathered once at delivery, shared view sorts) and once with
+``compile_plans=False`` (the interpreted reference path).  Both runs must
+deliver byte-identical streams; the comparison is pure execution cost.
+Online SGD estimation is not part of the difference: both paths run the
+same batched estimation phase before any chain executes.
 
 The compiled path must win by at least 3x end-to-end (ISSUE 8 acceptance
 criterion); the measured ratio and the plan cache's recompile counters are

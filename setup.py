@@ -1,9 +1,9 @@
 """Setuptools entry point.
 
-The project is fully described by ``pyproject.toml``; this file exists so
-that legacy editable installs (``python setup.py develop`` or
-``pip install -e .`` on environments without the ``wheel`` package) keep
-working in offline environments.
+The package metadata and runtime dependencies live here; there is no
+``pyproject.toml``.  ``pip install -e .`` and ``python setup.py develop``
+both work offline.  The test suite additionally needs ``pytest`` and
+``hypothesis``.
 """
 
 from setuptools import find_packages, setup
@@ -18,5 +18,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.21", "scipy>=1.7"],
+    install_requires=["numpy>=2.0", "scipy>=1.7"],
 )

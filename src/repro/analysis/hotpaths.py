@@ -3,11 +3,12 @@
 Functions listed here are the per-batch inner loops whose cost the
 benchmark suite gates (``BENCH_world.json`` / ``BENCH_plan.json`` /
 ``BENCH_views.json`` / ``BENCH_serve.json``): the fused acquisition
-round, compiled chain execution, the incremental view fold and the
-serve-layer fan-out.  Inside them, per-row Python iteration is a
-regression by construction — the analyzer flags ``.tolist()`` calls,
-``range(len(...))`` / ``zip(...)`` row loops and object construction
-inside loops (see ``docs/craqr_lint.md``).
+round, compiled chain execution, the batched SGD estimation phase, the
+incremental view fold and the serve-layer fan-out.  Inside them,
+per-row Python iteration is a regression by construction — the
+analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
+row loops and object construction inside loops (see
+``docs/craqr_lint.md``).
 
 Registering a new hot path is one line here; the analyzer then fails
 the build when the function regresses to per-row Python, and fails it
@@ -39,6 +40,9 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # Compiled per-batch chain execution (PR 8): flat numpy kernels with
     # survivor-index composition; a Python row loop re-interprets the chain.
     ("repro/plan/executor.py", "ChainProgram.run"),
+    # Batched estimation phase: every online Flatten chain's SGD
+    # recurrence advances in lockstep, one vectorised step per event index.
+    ("repro/pointprocess/estimation.py", "observe_lockstep"),
     # Incremental view maintenance (PR 5): one lexsort + segment reductions
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),

@@ -25,6 +25,7 @@ from ..geometry import Grid, GridCell, Region
 from ..rng import ensure_rng
 from ..streams import CallbackSink, SensorTuple, TupleBatch
 from .pmat import UnionOperator
+from .pmat.flatten import observe_online
 from .query import AcquisitionalQuery
 from .topology import CellTopology, DeliverBatchFn, DeliverFn, QueryDelivery
 
@@ -471,7 +472,23 @@ class QueryPlanner:
         iteration order — and with it the per-query delivery order that
         shapes result-buffer chunks — is this method's, so compiled and
         interpreted runs stay byte-identical.
+
+        With online estimation one batched estimation phase runs first:
+        every chain's SGD estimator observes its batch in a single lockstep
+        kernel (:func:`~repro.core.pmat.flatten.observe_online`), and the
+        chains then flatten without observing again.  The estimate draws
+        no random numbers and each chain owns its estimator, so moving all
+        estimates ahead of the chains leaves every RNG draw, report and
+        delivery unchanged.
         """
+        if self._online:
+            observe_online(
+                (topology.chain(attribute).flatten, mapped[key][attribute])
+                for key, topology in self._cells.items()
+                if key in mapped
+                for attribute in topology.attributes
+                if attribute in mapped[key]
+            )
         routed = 0
         deliver = self._deliver_batch
         for key, topology in self._cells.items():

@@ -15,13 +15,15 @@ form one batch; on flush the operator
 When ``online`` estimation is enabled the operator additionally feeds every
 tuple to an :class:`~repro.pointprocess.estimation.OnlineIntensityEstimator`
 so the intensity tracks drift across batches, as the paper's sliding-window
-variant suggests.
+variant suggests.  :func:`observe_online` is the batched estimation phase:
+it advances the estimators of many Flatten operators together before any
+of them flattens its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from ...pointprocess import (
     flatten_events,
     flatten_keep_mask,
 )
-from ...pointprocess.estimation import EstimationError
+from ...pointprocess.estimation import EstimationError, observe_lockstep
 from ...streams import SensorTuple, TupleBatch
 from .base import PMATOperator
 
@@ -174,27 +176,22 @@ class FlattenOperator(PMATOperator):
     def process(self, item: SensorTuple) -> None:
         self._buffer.append(item)
 
-    def _estimate_intensity(
-        self, batch: EventBatch, *, fused: bool = False
-    ) -> IntensityModel:
+    @property
+    def estimates_online(self) -> bool:
+        """Whether batches feed this operator's online SGD estimator."""
+        return self._online_estimator is not None and self._intensity is None
+
+    def _estimate_intensity(self, batch: EventBatch) -> IntensityModel:
         """Pick the intensity model used to flatten the current batch.
 
-        ``fused`` selects the hoisted-compensator SGD kernel for the online
-        estimator (bit-identical to the reference loop; used by the
-        compiled plan path).
+        Only reads the online estimator: the caller has already fed it
+        ``batch`` (:meth:`flush` itself, the columnar paths through the
+        batched estimation phase, :func:`observe_online`).
         """
         if self._intensity is not None:
             return self._intensity
         t_min, t_max = batch.time_span()
-        if self._online and self._online_estimator is not None:
-            # Anchor the SGD compensator at the batch's own window: without
-            # it the per-event gradient integrated the basis over
-            # [0, window_duration] forever while event times grew, biasing
-            # theta_t more and more as simulation time advanced.
-            if fused:
-                self._online_estimator.observe_batch_fused(batch, window_start=t_min)
-            else:
-                self._online_estimator.observe_batch(batch, window_start=t_min)
+        if self.estimates_online:
             # Until the online estimate has warmed up fall back to MLE below.
             if self._online_estimator.updates >= 2 * self._min_batch_for_fit:
                 return self._online_estimator.intensity
@@ -230,6 +227,8 @@ class FlattenOperator(PMATOperator):
         items = self._buffer
         self._buffer = []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
+        if self.estimates_online:
+            self._online_estimator.observe_batch(batch)
         intensity = self._estimate_intensity(batch)
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
@@ -263,6 +262,9 @@ class FlattenOperator(PMATOperator):
         full-shortfall report for an empty batch) is identical to
         :meth:`flush`, and the thinning kernel's ``keep_mask`` is applied to
         the numpy columns without round-tripping through object lists.
+        The online estimator is not fed here: on the columnar path the
+        batched estimation phase (:func:`observe_online`) has already
+        observed ``batch``.
         """
         if batch.is_empty:
             self._reports.append(
@@ -308,8 +310,8 @@ class FlattenOperator(PMATOperator):
         counters, same single ``rng.random(n)`` draw — but returns the
         boolean keep-mask instead of gathering the surviving columns, so
         the executor can compose it with downstream thin/partition
-        decisions and gather once at delivery.  The online estimator runs
-        its fused (hoisted-compensator) SGD kernel.  Not available with
+        decisions and gather once at delivery.  Like :meth:`process_batch`
+        it does not feed the online estimator.  Not available with
         ``emit_discarded`` (the discard store needs the dropped tuples
         materialised; the engine keeps those chains on the interpreted
         path).
@@ -332,7 +334,7 @@ class FlattenOperator(PMATOperator):
         n = len(batch)
         self._tuples_in += n
         events = EventBatch(batch.t, batch.x, batch.y)
-        intensity = self._estimate_intensity(events, fused=True)
+        intensity = self._estimate_intensity(events)
         target_expected = self._target_rate * self.region.area * self._batch_duration
         result = flatten_keep_mask(events, intensity, target_expected, rng=self.rng)
         retained = result.retained_count
@@ -362,3 +364,25 @@ class FlattenOperator(PMATOperator):
             "estimator": estimator,
             "rng_draws": "random(n)",
         }
+
+
+def observe_online(pairs: Iterable[Tuple[FlattenOperator, TupleBatch]]) -> None:
+    """The batched estimation phase: feed each batch to its operator's estimator.
+
+    Every online Flatten operator's SGD estimator observes its batch,
+    anchored at the batch's earliest event time as :meth:`FlattenOperator.flush`
+    anchors it, in one :func:`~repro.pointprocess.estimation.observe_lockstep`
+    call.  Callers then run :meth:`FlattenOperator.process_batch` or
+    :meth:`FlattenOperator.process_batch_mask`, which only read the
+    estimate.  Operators without an online
+    estimator and empty batches are skipped.  The estimate draws no random
+    numbers and each operator owns its estimator, so running every estimate
+    ahead of the flattening leaves RNG draw order and results unchanged.
+    """
+    estimators = []
+    events = []
+    for flatten, batch in pairs:
+        if flatten.estimates_online and len(batch):
+            estimators.append(flatten._online_estimator)
+            events.append(EventBatch(batch.t, batch.x, batch.y))
+    observe_lockstep(estimators, events)

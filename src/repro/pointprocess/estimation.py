@@ -18,6 +18,9 @@ operator description):
   the estimate over sliding windows with SGD (citing Bottou 2010).
   :class:`OnlineIntensityEstimator` performs per-event gradient steps on the
   same likelihood, so a Flatten operator can track a drifting intensity.
+  :func:`observe_lockstep` advances many independent estimators together,
+  one vectorised step per event index, bit-identically to running each
+  estimator alone.
 
 A cheap method-of-moments / least-squares initialiser based on quadrat
 counts is also provided; it is used to seed the MLE and as a fallback when
@@ -347,54 +350,15 @@ class OnlineIntensityEstimator:
         starting at large simulation times integrate the basis over the
         window they were actually observed on (a fixed ``0.0`` anchor would
         bias the time-slope gradient more and more as time advances).
-        """
-        if batch.is_empty:
-            return
-        if window_start is None:
-            window_start = float(np.min(batch.t))
-        # Track the running average of events per window for the compensator.
-        self._events_in_window = 0.7 * self._events_in_window + 0.3 * len(batch)
-        ordered = batch.sorted_by_time()
-        for t, x, y in zip(ordered.t, ordered.x, ordered.y):
-            self.observe_event(float(t), float(x), float(y), window_start=window_start)
 
-    def observe_batch_fused(
-        self, batch: EventBatch, *, window_start: Optional[float] = None
-    ) -> None:
-        """Fused-kernel variant of :meth:`observe_batch`.
-
-        Bit-identical to the reference loop: the SGD recurrence is
-        inherently sequential (each step's rate depends on the previous
-        theta), but everything that is loop-invariant within one batch is
-        hoisted — the per-event compensator (``_events_in_window`` is
-        updated once per batch, so the compensator is constant across the
-        batch's events), the feature matrix, and the ``1/sqrt(k)`` step
-        schedule.  The remaining loop touches ~5 small array ops per event
-        instead of rebuilding the compensator integral from the region
-        geometry every step.
+        Runs :func:`observe_lockstep` with this one estimator: bit-identical
+        to calling :meth:`observe_event` per event in time order.
         """
-        if batch.is_empty:
-            return
-        if window_start is None:
-            window_start = float(np.min(batch.t))
-        self._events_in_window = 0.7 * self._events_in_window + 0.3 * len(batch)
-        ordered = batch.sorted_by_time()
-        n = len(ordered)
-        compensator = self._per_event_compensator(window_start)
-        features = np.column_stack(
-            (np.ones(n), np.asarray(ordered.t, dtype=float),
-             np.asarray(ordered.x, dtype=float), np.asarray(ordered.y, dtype=float))
-        )
-        steps = self._learning_rate / np.sqrt(
-            np.arange(self._updates + 1, self._updates + n + 1, dtype=np.int64)
-        )
-        theta = self._theta
-        for i in range(n):
-            event_features = features[i]
-            rate = max(float(event_features @ theta), _RATE_FLOOR)
-            theta = theta + steps[i] * (event_features / rate - compensator)
-        self._updates += n
-        self._theta = theta
+        observe_lockstep([self], [batch], [window_start])
+
+    #: Alias of :meth:`observe_batch`; the benchmark harness's SGD trace
+    #: point patches this name on the class.
+    observe_batch_fused = observe_batch
 
     def result(self) -> EstimationResult:
         """Snapshot the current estimate as an :class:`EstimationResult`."""
@@ -405,3 +369,83 @@ class OnlineIntensityEstimator:
             converged=self._updates > 0,
             iterations=self._updates,
         )
+
+
+def observe_lockstep(
+    estimators: Sequence[OnlineIntensityEstimator],
+    batches: Sequence[EventBatch],
+    window_starts: Optional[Sequence[Optional[float]]] = None,
+) -> None:
+    """Advance many independent SGD estimators through their batches at once.
+
+    Estimator ``j`` observes ``batches[j]`` with its compensator anchored at
+    ``window_starts[j]`` (``None`` means the batch's earliest event time),
+    exactly as :meth:`OnlineIntensityEstimator.observe_batch` would.  The
+    recurrence is sequential within one estimator but independent across
+    estimators, so the chains advance in lockstep: step ``i`` applies the
+    ``i``-th event (in time order) of every chain that has one, as one
+    ``vecdot`` over the stacked parameter vectors plus elementwise ops.
+    Chains are ranked longest first, so the chains still active at step
+    ``i`` are a prefix of the stack and each step reads one contiguous
+    slice.
+
+    Per chain the arithmetic is :meth:`OnlineIntensityEstimator.observe_event`'s,
+    operation for operation: ``vecdot`` reduces each row like a 1-D ``@``,
+    and the elementwise steps round identically whether applied to one row
+    or many.  The estimators must be distinct; empty batches leave theirs
+    untouched.
+    """
+    if window_starts is None:
+        window_starts = [None] * len(estimators)
+    chains = []
+    for estimator, batch, start in zip(estimators, batches, window_starts):  # craqr: ignore[CRQ402] - per chain, not per event
+        n = len(batch)
+        if n == 0:
+            continue
+        if start is None:
+            start = float(np.min(batch.t))
+        # Track the running average of events per window for the compensator.
+        estimator._events_in_window = 0.7 * estimator._events_in_window + 0.3 * n
+        compensator = estimator._per_event_compensator(start)
+        order = np.argsort(batch.t, kind="stable")
+        chains.append((estimator, compensator, batch.t[order], batch.x[order], batch.y[order]))
+    if not chains:
+        return
+
+    # Rank chains longest first (stable), so the chains still active at
+    # step i are the first active[i] rows of the stack.
+    chains.sort(key=lambda chain: -chain[2].shape[0])
+    ranked = [chain[0] for chain in chains]
+    lengths = np.array([chain[2].shape[0] for chain in chains], dtype=np.int64)
+    steps_total = int(lengths[0])
+    active = len(chains) - np.cumsum(np.bincount(lengths, minlength=steps_total + 1))[:steps_total]
+    offsets = np.concatenate(([0], np.cumsum(active)[:-1]))
+    # Flat step-major layout: event s (in time order) of the chain ranked r
+    # sits in row offsets[s] + r, so step s reads one contiguous slice.
+    rank = np.repeat(np.arange(len(chains)), lengths)
+    step = np.arange(rank.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows = offsets[step] + rank
+    features = np.empty((rows.shape[0], 4))
+    features[:, 0] = 1.0
+    for column in (1, 2, 3):  # t, x, y
+        features[rows, column] = np.concatenate([chain[column + 1] for chain in chains])
+    # Bottou's 1/sqrt(k) schedule, k counting each estimator's own updates.
+    updates = np.array([est._updates for est in ranked], dtype=np.int64)
+    rates = np.array([est._learning_rate for est in ranked])
+    step_sizes = np.empty((rows.shape[0], 1))
+    step_sizes[rows, 0] = rates[rank] / np.sqrt(updates[rank] + step + 1)
+    compensator = np.stack([chain[1] for chain in chains])
+    theta = np.stack([est._theta for est in ranked])
+
+    for lo, width in zip(offsets, active):  # craqr: ignore[CRQ402] - the SGD recurrence is sequential in the event index; each step is vectorised across chains
+        hi = lo + width
+        event_features = features[lo:hi]
+        rate = np.maximum(np.vecdot(event_features, theta[:width]), _RATE_FLOOR)
+        gradient = event_features / rate[:, None]
+        gradient -= compensator[:width]
+        gradient *= step_sizes[lo:hi]
+        theta[:width] += gradient
+
+    for row, estimator in enumerate(ranked):
+        estimator._theta = theta[row].copy()
+        estimator._updates += int(lengths[row])

@@ -21,6 +21,13 @@ from recovery_harness import (
 )
 from test_snapshot_roundtrip import GOLDEN_FAST_SIM, GOLDEN_STRICT
 
+#: Digests of the recovery workload with ``online_estimation=True`` (every
+#: Flatten tracks its intensity with the sliding-window SGD estimator).
+#: Captured before the estimator's batched execution schedule landed; the
+#: schedule may change, these bytes may not.
+GOLDEN_ONLINE_STRICT = "5d1cf9e71a4c2817686d449fd032d69996439bc1b09e6ac5c82c8e35c5b520ff"
+GOLDEN_ONLINE_FAST_SIM = "107922934e948a61a0657b8acc5f5a0c2c4dc334a41f5717eef286f8e09e7df0"
+
 
 def make_engine_compiling(compile_plans, **kwargs):
     """The recovery harness's fully loaded engine, with the flag forced."""
@@ -110,6 +117,69 @@ class TestRestoreEquivalence:
         run_to(as_interpreted, 8)
         assert as_interpreted.plan_cache is None
         assert engine_digest(as_interpreted) == GOLDEN_STRICT
+
+
+def _online_estimators_switched(engine):
+    """Whether some Flatten now uses its SGD intensity instead of the MLE."""
+    planner = engine._planner
+    for key in planner.materialized_cells:
+        topology = planner.cell_topology(key)
+        for attribute in topology.attributes:
+            flatten = topology.chain(attribute).flatten
+            if flatten._online_estimator.updates >= 2 * flatten._min_batch_for_fit:
+                return True
+    return False
+
+
+_MODES = pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
+
+
+def _online_golden(vectorized):
+    return GOLDEN_ONLINE_FAST_SIM if vectorized else GOLDEN_ONLINE_STRICT
+
+
+class TestOnlineEstimationGoldens:
+    """The online SGD estimator's streams, pinned across execution paths."""
+
+    @_MODES
+    @pytest.mark.parametrize("compile_plans", [True, False], ids=["compiled", "interpreted"])
+    def test_columnar_paths(self, vectorized, compile_plans):
+        engine = run_to(
+            make_engine_compiling(
+                compile_plans, vectorized=vectorized, online_estimation=True
+            ),
+            8,
+        )
+        assert (engine.plan_cache is not None) == compile_plans
+        assert _online_estimators_switched(engine)
+        assert engine_digest(engine) == _online_golden(vectorized)
+
+    def test_object_path(self):
+        # Strict RNGs only: fast-sim acquisition is columnar-specific, so
+        # its object-path streams differ by design (as with the MLE goldens).
+        engine = run_to(
+            make_engine_compiling(True, columnar=False, online_estimation=True), 8
+        )
+        assert engine.plan_cache is None
+        assert _online_estimators_switched(engine)
+        assert engine_digest(engine) == GOLDEN_ONLINE_STRICT
+
+    @_MODES
+    def test_restore_mid_run(self, vectorized, tmp_path):
+        run_to(
+            make_engine_compiling(
+                True,
+                vectorized=vectorized,
+                online_estimation=True,
+                checkpoint_dir=tmp_path,
+                every=2,
+            ),
+            5,
+        )
+        restored = restore_latest_fresh(tmp_path)
+        run_to(restored, 8)
+        assert _online_estimators_switched(restored)
+        assert engine_digest(restored) == _online_golden(vectorized)
 
 
 class TestSharedViewSorts:

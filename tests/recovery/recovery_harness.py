@@ -87,6 +87,7 @@ def make_engine(
     retention_batches=None,
     faults: bool = True,
     view: bool = True,
+    online_estimation: bool = False,
 ) -> CraqrEngine:
     """A fully loaded engine: flaky-crowd faults + mitigation, query + view.
 
@@ -98,6 +99,7 @@ def make_engine(
     config = replace(
         default_engine_config(retention_batches=retention_batches),
         columnar=columnar,
+        online_estimation=online_estimation,
     )
     if faults:
         config = replace(
