@@ -1,16 +1,25 @@
 """E14: the vectorised sensing world vs the per-object simulation.
 
-Two measurements:
+Three measurements:
 
 * ``SensingWorld.advance`` throughput per mobility model at 1k / 10k / 100k
-  sensors — strict mode (the per-sensor object path) against fast-sim mode
+  sensors — the per-object path against fast-sim mode
   (``vectorized_rng=True``, one ``step_batch`` kernel per model group per
   movement step).  ISSUE 2's acceptance bar is a >= 15x speedup for
   RandomWaypoint at 10k sensors.
+* The strict waypoint kernel (``step_strict``, per-sensor streams) against
+  the per-object path at 10k sensors, paired, with byte-identical
+  positions asserted; gated at >= 4x.
 * Engine end-to-end: a fully vectorised engine (columnar pipeline + fast-sim
   world) against the fully object-at-a-time engine (object path + strict
-  world).  ISSUE 2 asks for >= 3x, up from the ~1.4x the columnar pipeline
-  alone achieved while the world simulation dominated the wall clock.
+  world stepped per object).  ISSUE 2 asks for >= 3x, up from the ~1.4x the
+  columnar pipeline alone achieved while the world simulation dominated the
+  wall clock.
+
+The per-object path is built explicitly: strict mode steps a waypoint crowd
+with its array kernel, so the reference crowd uses kernel-less subclasses
+with identical dynamics (:func:`per_object`), which strict mode loops per
+sensor.
 
 Results are persisted to ``BENCH_world.json`` via ``record_world_metric`` so
 the simulation perf trajectory is tracked across PRs.
@@ -38,13 +47,27 @@ from repro.sensing import (
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
-MOBILITY_FACTORIES = {
-    "stationary": lambda r: StationaryMobility(r),
-    "walk": lambda r: RandomWalkMobility(r),
-    "waypoint": lambda r: RandomWaypointMobility(r),
-    "gauss_markov": lambda r: GaussMarkovMobility(r),
-    "hotspot": lambda r: HotspotMobility(r, [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0)]),
+MOBILITY_MODELS = {
+    "stationary": (StationaryMobility, {}),
+    "walk": (RandomWalkMobility, {}),
+    "waypoint": (RandomWaypointMobility, {}),
+    "gauss_markov": (GaussMarkovMobility, {}),
+    "hotspot": (HotspotMobility, {"hotspots": [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0)]}),
 }
+
+
+def per_object(cls):
+    """A subclass of ``cls`` with identical dynamics and no kernel of its own.
+
+    Kernels are only used for classes that define them in their own body,
+    so a strict world of these sensors loops the scalar ``step`` per sensor.
+    """
+    return type(f"PerObject{cls.__name__}", (cls,), {})
+
+
+def model_factory(cls, kwargs):
+    return lambda region: cls(region, **kwargs)
+
 
 SENSOR_COUNTS = (1_000, 10_000, 100_000)
 
@@ -62,6 +85,12 @@ REQUIRED_ADVANCE_SPEEDUP = 15.0
 
 #: ISSUE 2 acceptance: fully vectorised engine vs fully object engine.
 REQUIRED_ENGINE_SPEEDUP = 3.0
+
+#: Strict waypoint kernel vs the per-object path at 10k sensors.
+REQUIRED_STRICT_KERNEL_SPEEDUP = 4.0
+
+#: Interleaved (kernel, per-object) timing pairs for the strict-kernel axis.
+STRICT_KERNEL_PAIRS = 5
 
 
 def make_world(factory, sensor_count, *, vectorized, seed=41):
@@ -92,11 +121,13 @@ def test_world_advance_throughput(record_table, record_world_metric):
         ["model", "sensors", "object s-steps/s", "fast-sim s-steps/s", "speedup"],
     )
     speedups = {}
-    for name, factory in MOBILITY_FACTORIES.items():
+    for name, (cls, kwargs) in MOBILITY_MODELS.items():
         for count in SENSOR_COUNTS:
             duration = ADVANCE_DURATION[count]
-            strict = make_world(factory, count, vectorized=False)
-            fast = make_world(factory, count, vectorized=True)
+            strict = make_world(
+                model_factory(per_object(cls), kwargs), count, vectorized=False
+            )
+            fast = make_world(model_factory(cls, kwargs), count, vectorized=True)
             sub_steps = round(duration / strict.config.movement_step)
             sensor_steps = count * sub_steps
             repeats = ADVANCE_REPEATS[count]
@@ -132,14 +163,70 @@ def test_world_advance_throughput(record_table, record_world_metric):
     )
 
 
+def test_strict_kernel_advance(record_table, record_world_metric):
+    """The strict waypoint kernel vs the per-object path, same streams."""
+    count = 10_000
+    duration = ADVANCE_DURATION[count]
+    kernel = make_world(
+        model_factory(RandomWaypointMobility, {}), count, vectorized=False
+    )
+    reference = make_world(
+        model_factory(per_object(RandomWaypointMobility), {}), count, vectorized=False
+    )
+    kernel_times, reference_times = [], []
+    for _ in range(STRICT_KERNEL_PAIRS):
+        kernel_times.append(time_advance(kernel, duration))
+        reference_times.append(time_advance(reference, duration))
+    # Both crowds advanced the same durations from the same seed.
+    for column in ("x", "y", "target_x", "target_y", "pause_remaining"):
+        assert (
+            getattr(kernel.state_arrays, column).tobytes()
+            == getattr(reference.state_arrays, column).tobytes()
+        ), column
+    sensor_steps = count * round(duration / kernel.config.movement_step)
+    speedup = min(reference_times) / min(kernel_times)
+    paired = sorted(r / k for r, k in zip(reference_times, kernel_times))
+    table = ResultTable(
+        "E14b - strict waypoint advance: array kernel vs per-object loop",
+        ["sensors", "per-object s-steps/s", "kernel s-steps/s", "speedup"],
+    )
+    table.add_row(
+        count,
+        int(sensor_steps / min(reference_times)),
+        int(sensor_steps / min(kernel_times)),
+        f"{speedup:.1f}x",
+    )
+    record_table("E14b_strict_kernel", table)
+    record_world_metric(
+        f"world_advance_strict_kernel_speedup_waypoint_{count}",
+        speedup,
+        unit="x",
+        detail={
+            "object_sensor_steps_per_second": sensor_steps / min(reference_times),
+            "strict_kernel_sensor_steps_per_second": sensor_steps / min(kernel_times),
+            "median_paired_ratio": paired[len(paired) // 2],
+            "pairs": STRICT_KERNEL_PAIRS,
+            "simulated_duration": duration,
+        },
+    )
+    assert speedup >= REQUIRED_STRICT_KERNEL_SPEEDUP, (
+        f"strict waypoint kernel only {speedup:.1f}x faster than the "
+        f"per-object path at {count} sensors"
+    )
+
+
 def test_fast_sim_engine_end_to_end(record_world_metric):
     """The fully vectorised engine vs the fully object-at-a-time engine."""
 
     def run(*, columnar, vectorized):
+        mobility = RandomWaypointMobility if vectorized else per_object(
+            RandomWaypointMobility
+        )
         world = SensingWorld(
             WorldConfig(
                 region=REGION, sensor_count=10_000, seed=11, vectorized_rng=vectorized
-            )
+            ),
+            mobility_factory=model_factory(mobility, {}),
         )
         world.register_field(RainField(REGION))
         config = EngineConfig(

@@ -3,12 +3,12 @@
 Functions listed here are the per-batch inner loops whose cost the
 benchmark suite gates (``BENCH_world.json`` / ``BENCH_plan.json`` /
 ``BENCH_views.json`` / ``BENCH_serve.json``): the fused acquisition
-round, compiled chain execution, the batched SGD estimation phase, the
-incremental view fold and the serve-layer fan-out.  Inside them,
-per-row Python iteration is a regression by construction — the
-analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
-row loops and object construction inside loops (see
-``docs/craqr_lint.md``).
+round, the strict waypoint kernel, compiled chain execution, the
+batched SGD estimation phase, the incremental view fold and the
+serve-layer fan-out.  Inside them, per-row Python iteration is a
+regression by construction — the analyzer flags ``.tolist()`` calls,
+``range(len(...))`` / ``zip(...)`` row loops and object construction
+inside loops (see ``docs/craqr_lint.md``).
 
 Registering a new hot path is one line here; the analyzer then fails
 the build when the function regresses to per-row Python, and fails it
@@ -37,6 +37,11 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_sensor_choices"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
+    # Strict-mode waypoint advance: one array step per movement step with
+    # per-sensor draws; a per-row loop (or a per-row math.hypot) is the
+    # scalar path this kernel replaces.
+    ("repro/sensing/mobility.py", "RandomWaypointMobility.step_strict"),
+    ("repro/sensing/mobility.py", "_hypot_exact"),
     # Compiled per-batch chain execution (PR 8): flat numpy kernels with
     # survivor-index composition; a Python row loop re-interprets the chain.
     ("repro/plan/executor.py", "ChainProgram.run"),

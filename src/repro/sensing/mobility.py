@@ -12,29 +12,41 @@ sensors".  These models generate that mobility:
 * :class:`HotspotMobility` — sensors are attracted to a set of hotspots,
   producing the strong spatial skew used in the skew-mitigation experiment.
 
-All models implement two entry points:
+All models implement the scalar entry point, and the vectorisable ones add
+array kernels:
 
 * ``step(state, dt, rng)`` — advance one sensor's state in place, drawing
-  from that sensor's private generator.  This is the strict-mode path: the
-  world loops it once per sensor, so a seeded run is byte-identical whatever
-  the storage backing ``state`` (dataclass or SoA view).
-* ``step_batch(arrays, indices, dt, rng)`` — advance a whole group of
-  sensors at once as masked array operations over a
-  :class:`~repro.sensing.state.SensorStateArrays`, drawing from one shared
-  generator.  This is the fast-sim kernel: draw *order* across sensors
-  differs from the scalar loop (statistically equivalent, not bit-equal),
-  which is exactly the trade the world's ``vectorized_rng`` mode makes.
+  from that sensor's private generator.  This is the reference dynamics and
+  the strict-mode fallback: the world loops it once per sensor, so a seeded
+  run is byte-identical whatever the storage backing ``state`` (dataclass or
+  SoA view).
+* ``step_strict(arrays, indices, dt, rngs)`` — the strict-mode kernel:
+  advance a whole group of sensors as array operations over a
+  :class:`~repro.sensing.state.SensorStateArrays` while every row still
+  draws from its own generator ``rngs[row]``, in the order ``step`` would.
+  Generators are independent, so only the order *within* one sensor
+  matters, and the arithmetic repeats ``step``'s exactly (including
+  ``math.hypot``, via :func:`_hypot_exact`): the positions and streams are
+  byte-identical to the scalar loop.  :class:`RandomWaypointMobility`
+  implements it.
+* ``step_batch(arrays, indices, dt, rng)`` — the fast-sim kernel: the same
+  array form, drawing from one shared generator.  Draw *order* across
+  sensors differs from the scalar loop (statistically equivalent, not
+  bit-equal), which is exactly the trade the world's ``vectorized_rng``
+  mode makes.
 
 ``batch_key()`` returns a hashable grouping key for models that support the
 batch kernel: sensors whose models share a key are stepped by one
-``step_batch`` call.  The base implementation returns ``None`` (no grouping)
-and falls back to looping ``step`` over SoA views, so custom subclasses stay
-correct in either mode.
+``step_batch`` call (fast-sim) or one ``step_strict`` call (strict, when
+:meth:`MobilityModel.has_strict_kernel`).  The base implementation returns
+``None`` (no grouping) and falls back to looping ``step`` over SoA views, so
+custom subclasses stay correct in either mode.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence, Tuple
@@ -48,6 +60,102 @@ from .state import SensorStateArrays
 #: Distances below this are treated as "already at the target".
 _TINY = 1e-12
 
+#: Smallest positive normal double (C's ``DBL_MIN``).
+_DBL_MIN = 2.0 ** -1022
+
+#: Veltkamp splitting constant ``2**27 + 1`` (Dekker's exact product).
+_VELTKAMP = 134217729.0
+
+#: Before 3.12, ``math.hypot`` took a separate, divide-by-max path when the
+#: larger coordinate is below ``2**-1024``; 3.12 rescales by ``DBL_MIN``.
+_LEGACY_TINY_HYPOT = sys.version_info < (3, 12)
+
+
+def _dl_square(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact square: ``hi + lo == x * x`` (CPython's ``dl_mul(x, x)``).
+
+    Both factors split identically, so the split is computed once; the
+    terms are CPython's own, in its order.
+    """
+    t = x * _VELTKAMP
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    p = x_hi * x_hi
+    cross = x_hi * x_lo
+    q = cross + cross  # x_hi * y_lo + x_lo * y_hi with y == x
+    hi = p + q
+    return hi, p - hi + q + x_lo * x_lo
+
+
+def _scaled_norm(ax: np.ndarray, ay: np.ndarray, largest: np.ndarray) -> np.ndarray:
+    """CPython's ``vector_norm`` for two non-negative finite coordinates.
+
+    Every sum is ``dl_fast_sum(csum, term)`` (``csum >= term``, so its
+    error term is exact) and the fractional parts accumulate as in C.
+    """
+    _, exponent = np.frexp(largest)
+    scale = np.ldexp(1.0, -exponent)
+    hi, lo = _dl_square(ax * scale)  # lossless: a power-of-two scale
+    csum = 1.0 + hi
+    frac2 = 0.0 + ((1.0 - csum) + hi)
+    frac1 = 0.0 + lo
+    hi, lo = _dl_square(ay * scale)
+    total = csum + hi
+    frac2 = frac2 + ((csum - total) + hi)
+    csum = total
+    frac1 = frac1 + lo
+    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+    # dl_mul(-h, h) is exactly the negated square (rounding is symmetric).
+    hi, lo = _dl_square(h)
+    total = csum - hi
+    frac2 = frac2 + ((csum - total) - hi)
+    csum = total
+    frac1 = frac1 - lo
+    residual = csum - 1.0 + (frac1 + frac2)
+    h = h + residual / (2.0 * h)  # one differential correction step
+    return h / scale
+
+
+def _hypot_exact(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot(dx, dy)``, bit for bit.
+
+    ``np.hypot`` rounds differently from ``math.hypot`` in ~0.6% of random
+    inputs, which would move a strict-mode sensor by an ulp and change its
+    stream.  This is a straight array port of CPython's ``vector_norm``:
+    frexp/ldexp scaling, Dekker products summed with exact error terms,
+    and one differential correction, including the interpreter-specific
+    path for coordinates below ``2**-1024`` and the inf/NaN/zero cases.
+    """
+    ax = np.abs(np.asarray(dx, dtype=np.float64))
+    ay = np.abs(np.asarray(dy, dtype=np.float64))
+    largest = np.maximum(ax, ay)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = _scaled_norm(ax, ay, largest)
+        tiny = largest < 2.0 ** -1024
+        if tiny.any():
+            tx, ty, tm = ax[tiny], ay[tiny], largest[tiny]
+            if _LEGACY_TINY_HYPOT:
+                csum = np.ones_like(tm)
+                frac = np.zeros_like(tm)
+                for coordinate in (tx, ty):
+                    term = coordinate / tm
+                    term = term * term
+                    total = csum + term
+                    frac = frac + ((csum - total) + term)
+                    csum = total
+                out[tiny] = tm * np.sqrt(csum - 1.0 + frac)
+            else:
+                out[tiny] = _DBL_MIN * _scaled_norm(
+                    tx / _DBL_MIN, ty / _DBL_MIN, tm / _DBL_MIN
+                )
+    special = ~np.isfinite(largest) | (largest == 0.0)
+    if special.any():
+        # np.maximum propagates NaN, so `largest` flags NaN rows too;
+        # math.hypot returns inf even when the other coordinate is NaN.
+        out = np.where(largest == 0.0, 0.0, out)
+        out = np.where(np.isnan(ax) | np.isnan(ay), np.nan, out)
+        out = np.where(np.isinf(ax) | np.isinf(ay), np.inf, out)
+    return out
 
 @dataclass
 class MobilityState:
@@ -115,6 +223,16 @@ class MobilityModel(ABC):
         if "step_batch" not in vars(cls):
             return None
         return (cls, self._region) + params
+
+    def has_strict_kernel(self) -> bool:
+        """Whether strict mode may step this model's group with ``step_strict``.
+
+        Same rule as :meth:`_kernel_key`: only a class that defines its
+        *own* ``step_strict`` qualifies, so a subclass overriding ``step``
+        or ``_pick_target`` without a matching kernel keeps its dynamics
+        through the scalar loop.
+        """
+        return "step_strict" in vars(type(self))
 
     def step_batch(
         self,
@@ -228,15 +346,38 @@ class RandomWaypointMobility(MobilityModel):
     def batch_key(self) -> Optional[Hashable]:
         return self._kernel_key(self._speed, self._pause)
 
+    def step_strict(
+        self,
+        arrays: SensorStateArrays,
+        indices: np.ndarray,
+        dt: float,
+        rngs: Sequence[np.random.Generator],
+    ) -> None:
+        """Advance the rows ``indices`` by ``dt``, each on its own generator.
+
+        Byte-identical to calling :meth:`step` on every row with
+        ``rngs[row]``: only rows without a target draw (``uniform(x)`` then
+        ``uniform(y)``, as :meth:`_pick_target` does), and the move
+        arithmetic uses :func:`_hypot_exact`, so the positions and every
+        generator's state match the scalar loop exactly.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        active = self._run_pause_timers(arrays, idx, dt)
+        if active.size == 0:
+            return
+        tx = arrays.target_x[active]
+        ty = arrays.target_y[active]
+        region = self._region
+        need = np.flatnonzero(np.isnan(tx) | np.isnan(ty))
+        for k, row in zip(need, active[need]):  # craqr: ignore[CRQ402] - only the rows that draw a new target (~1% per sub-step)
+            rng = rngs[row]
+            tx[k] = rng.uniform(region.x_min, region.x_max)
+            ty[k] = rng.uniform(region.y_min, region.y_max)
+        self._walk(arrays, active, tx, ty, dt, _hypot_exact)
+
     def step_batch(self, arrays, indices, dt, rng) -> None:
         idx = np.asarray(indices, dtype=np.int64)
-        pause = arrays.pause_remaining[idx]
-        paused = pause > 0.0
-        if paused.any():
-            # Pausing sensors only run their timer down this step; like the
-            # scalar path they start walking again on the *next* step.
-            arrays.pause_remaining[idx[paused]] = np.maximum(0.0, pause[paused] - dt)
-        active = idx[~paused]
+        active = self._run_pause_timers(arrays, idx, dt)
         if active.size == 0:
             return
         tx = arrays.target_x[active]
@@ -247,20 +388,50 @@ class RandomWaypointMobility(MobilityModel):
             count = int(need.sum())
             tx[need] = rng.uniform(region.x_min, region.x_max, count)
             ty[need] = rng.uniform(region.y_min, region.y_max, count)
+        self._walk(arrays, active, tx, ty, dt, np.hypot)
+
+    @staticmethod
+    def _run_pause_timers(
+        arrays: SensorStateArrays, idx: np.ndarray, dt: float
+    ) -> np.ndarray:
+        """Run the pausing rows' timers down; return the rows that walk.
+
+        Like :meth:`step`, a pausing sensor only runs its timer this step
+        and starts walking again on the *next* step.
+        """
+        pause = arrays.pause_remaining[idx]
+        paused = pause > 0.0
+        if not paused.any():
+            return idx
+        arrays.pause_remaining[idx[paused]] = np.maximum(0.0, pause[paused] - dt)
+        return idx[~paused]
+
+    def _walk(self, arrays, active, tx, ty, dt, hypot) -> None:
+        """Move the ``active`` rows towards ``(tx, ty)``; arrive, pause, clamp.
+
+        The arithmetic repeats :meth:`step` term for term; the strict
+        kernel passes :func:`_hypot_exact` so it stays bit-equal to it.
+        """
         x = arrays.x[active]
         y = arrays.y[active]
         dx = tx - x
         dy = ty - y
-        distance = np.hypot(dx, dy)
+        distance = hypot(dx, dy)
         travel = self._speed * dt
         arrive = travel >= distance
-        safe = np.maximum(distance, _TINY)
-        arrays.x[active] = np.where(arrive, tx, x + travel * dx / safe)
-        arrays.y[active] = np.where(arrive, ty, y + travel * dy / safe)
+        # Walking rows have distance > travel >= 0; arriving rows never
+        # read the divisor, so 1.0 only keeps them finite.
+        divisor = np.where(arrive, 1.0, distance)
+        region = self._region
+        arrays.x[active] = np.clip(
+            np.where(arrive, tx, x + travel * dx / divisor), region.x_min, region.x_max
+        )
+        arrays.y[active] = np.clip(
+            np.where(arrive, ty, y + travel * dy / divisor), region.y_min, region.y_max
+        )
         arrays.target_x[active] = np.where(arrive, np.nan, tx)
         arrays.target_y[active] = np.where(arrive, np.nan, ty)
-        arrays.pause_remaining[active] = np.where(arrive, self._pause, 0.0)
-        self._clamp_batch(arrays, active)
+        arrays.pause_remaining[active[arrive]] = self._pause
 
 
 class GaussMarkovMobility(MobilityModel):

@@ -110,6 +110,11 @@ class MobileSensor:
         return self._mobility
 
     @property
+    def rng(self) -> np.random.Generator:
+        """The sensor's private generator (read-only; strict kernels draw from it)."""
+        return self._rng
+
+    @property
     def participation(self) -> ParticipationModel:
         """The sensor's participation model."""
         return self._participation

@@ -18,10 +18,16 @@ are therefore plain array operations in every mode.  How sensors *move* and
   from its own generator in creation order, exactly as the original
   per-object simulator did — for a given seed the SoA storage produces
   byte-identical trajectories and observations to per-object stepping of
-  the same models.  (The one intentional behaviour change shipped alongside
-  the refactor is the :class:`~repro.sensing.GaussMarkovMobility`
-  mean-reversion fix: its seeded trajectories differ from the pre-fix ones
-  because the *formula* changed, not the storage.)
+  the same models.  Models with a strict kernel
+  (:meth:`~repro.sensing.MobilityModel.has_strict_kernel`, i.e.
+  :class:`~repro.sensing.RandomWaypointMobility`) advance one array
+  ``step_strict`` call per model group per movement step, each row still
+  drawing from its own sensor's generator; the rest loop their scalar
+  ``step`` per sensor.  (The one intentional behaviour change shipped
+  alongside the SoA refactor is the
+  :class:`~repro.sensing.GaussMarkovMobility` mean-reversion fix: its
+  seeded trajectories differ from the pre-fix ones because the *formula*
+  changed, not the storage.)
 * **fast-sim mode** (``vectorized_rng=True``): all sensors share the
   world's generator, so mobility advances through the models' vectorised
   ``step_batch`` kernels (one call per model group per movement step) and
@@ -46,6 +52,22 @@ from .participation import ParticipationModel
 from .phenomena import PhenomenonField
 from .sensor import MobileSensor
 from .state import SensorStateArrays
+
+
+class _SensorStreams:
+    """``streams[row]`` is the private generator of the sensor on SoA ``row``.
+
+    Handed to the strict mobility kernels so they draw from each sensor's
+    own stream without a second list of generators to keep in sync.
+    """
+
+    __slots__ = ("_sensors",)
+
+    def __init__(self, sensors: Sequence[MobileSensor]) -> None:
+        self._sensors = sensors
+
+    def __getitem__(self, row: int) -> np.random.Generator:
+        return self._sensors[row].rng
 
 
 @dataclass(frozen=True)
@@ -261,34 +283,48 @@ class SensingWorld:
     def advance(self, duration: float) -> float:
         """Advance the clock by ``duration``, moving every sensor along the way.
 
-        Strict mode loops every sensor's scalar ``step`` with its private
-        generator (byte-identical to the seed behaviour); fast-sim mode runs
-        one vectorised ``step_batch`` kernel per mobility-model group per
-        movement step, drawing from the world's shared generator.
+        Every movement step runs one kernel call per mobility-model group:
+        ``step_batch`` on the world's shared generator in fast-sim mode,
+        ``step_strict`` on the sensors' own generators in strict mode (for
+        models that have one; byte-identical to the scalar loop).  Sensors
+        without a kernel loop their model's scalar ``step`` with their
+        private generators.
         """
         if duration <= 0:
             raise CraqrError("duration must be positive")
         remaining = duration
         step = self._config.movement_step
-        vectorized = self._config.vectorized_rng
-        # Scalar-stepped sensors (all of them in strict mode, only the
-        # kernel-less ones in fast-sim) are checked out of the SoA once for
-        # the whole call, stepped on plain dataclass scratches, and
-        # committed back at the end — advance is atomic, so nothing
-        # observes the SoA in between, and the per-sub-step cost is the
-        # original per-object inner loop.
-        if vectorized:
-            scalar_sensors = [self._sensors[int(i)] for i in self._ungrouped_indices]
+        if self._config.vectorized_rng:
+            kernels = [
+                (model.step_batch, indices, self._rng)
+                for model, indices in self._mobility_groups
+            ]
+            scalar_rows = self._ungrouped_indices
         else:
-            scalar_sensors = self._sensors
+            streams = _SensorStreams(self._sensors)
+            kernels = [
+                (model.step_strict, indices, streams)
+                for model, indices in self._mobility_groups
+                if model.has_strict_kernel()
+            ]
+            scalar = np.ones(len(self._sensors), dtype=bool)
+            for _, indices, _ in kernels:
+                scalar[indices] = False
+            scalar_rows = np.flatnonzero(scalar)
+        # Scalar-stepped sensors are checked out of the SoA once for the
+        # whole call, stepped on plain dataclass scratches, and committed
+        # back at the end — advance is atomic, so nothing observes the SoA
+        # in between, and the per-sub-step cost is the original per-object
+        # inner loop.  Kernel rows and scalar rows are disjoint and draw
+        # from different generators, so their relative order is free.
+        scalar_sensors = [self._sensors[int(i)] for i in scalar_rows]
         for sensor in scalar_sensors:
             sensor.begin_moves()
         try:
             while remaining > 1e-12:
                 dt = min(step, remaining)
-                if vectorized:
-                    for model, indices in self._mobility_groups:
-                        model.step_batch(self._state, indices, dt, self._rng)
+                for kernel, indices, rngs in kernels:
+                    kernel(self._state, indices, dt, rngs)
                 for sensor in scalar_sensors:
                     sensor.step_scalar(dt)
                 self._clock.advance(dt)
